@@ -1,49 +1,44 @@
 //! Concurrent stress harness: many OS threads hammering one SI protocol
-//! instance, with a measured single-lock baseline and a sharded fast
-//! path.
+//! instance over a chosen [`VersionStore`].
 //!
 //! The deterministic [`Scheduler`](crate::Scheduler) is the primary
 //! validation tool; this module complements it with *real-concurrency*
 //! runs — threads interleave nondeterministically and the run is
 //! validated after the fact exactly like a scheduled run (the paper's
 //! soundness theorems are what license checking post hoc instead of
-//! serialising the engine). Two protocol back-ends share one workload
-//! driver:
+//! serialising the engine). One generic `worker` spells the protocol out
+//! once; [`StressEngine`] only selects which store it runs over:
 //!
-//! * [`StressEngine::SingleLock`] — the retained baseline: the whole
-//!   [`MultiVersionStore`] behind one [`RwLock`] (reads shared, commit
-//!   exclusive), the commit counter as an acquire/release [`AtomicU64`],
-//!   and every commit record appended under one recorder `Mutex` inside
-//!   the commit hot path. This is deliberately yesterday's code path,
-//!   kept so speedups are *measured against it*, not asserted.
-//! * [`StressEngine::Sharded`] — the lock-striped
-//!   [`ShardedStore`]: per-shard `RwLock`s, ascending-order multi-shard
-//!   commit locking, watermark publication and epoch GC (see
-//!   [`crate::shard`]). Commit records go to *thread-local* buffers and
-//!   are merged into one [`Recorder`] after the threads join — the
-//!   recorder mutex leaves the commit hot path entirely, and each
-//!   record's snapshot is a constant-size [`VisibleSet::Prefix`], not an
-//!   enumerated visible set (a 10^5-commit run would otherwise
-//!   materialise `Θ(n²)` sequence numbers). Per-session commit-seq
-//!   monotonicity is still enforced: the merge replays each thread's
-//!   buffer in order through [`Recorder::record`], which panics on any
-//!   regression.
+//! * [`StressEngine::SingleLock`] — the [`GlobalLockStore`]: the whole
+//!   `MultiVersionStore` behind one `RwLock` (reads shared, commit
+//!   exclusive). Kept so speedups are *measured against it*, not
+//!   asserted.
+//! * [`StressEngine::Sharded`] — the lock-striped [`ShardedStore`]:
+//!   per-shard `RwLock`s, ascending-order multi-shard commit locking,
+//!   watermark publication and epoch GC (see [`crate::shard`]).
 //! * [`StressEngine::LockFree`] — the [`LockFreeStore`]: CAS-installed
 //!   atomic version chains (readers take no lock at all),
 //!   completion-ring watermark publication and epoch-deferred node
-//!   reclamation (see [`crate::lockfree`]). Shares the thread-local
-//!   commit-buffer path with the sharded back-end.
+//!   reclamation (see [`crate::lockfree`]).
+//!
+//! Whatever the store, commit records go to a *thread-local* buffer and
+//! are merged into one [`Recorder`] after the threads join, so the timed
+//! window holds store work only and the three throughputs compare like
+//! with like. Each record's snapshot is a constant-size
+//! [`VisibleSet::Prefix`], not an enumerated visible set (a 10^5-commit
+//! run would otherwise materialise `Θ(n²)` sequence numbers). Per-session
+//! commit-seq monotonicity is still enforced: the merge replays each
+//! thread's buffer in order through [`Recorder::record`], which panics on
+//! any regression.
 //!
 //! [`stress`] runs a configurable workload (threads × contention ×
-//! read/write mix) against either back-end and reports the validated
+//! read/write mix) against the chosen store and reports the validated
 //! [`RunResult`] plus wall-clock throughput of the execution phase, so
 //! the `engine_throughput` bench can emit honest scaling curves.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use si_model::{History, Obj, Op, Value};
@@ -51,8 +46,8 @@ use si_model::{History, Obj, Op, Value};
 use crate::lockfree::{LockFreeStore, LockFreeStoreConfig};
 use crate::probe::{EngineProbe, ProbeEvent};
 use crate::recorder::{CommittedTx, Recorder, RunResult, RunStats, VisibleSet};
-use crate::shard::{GcStats, ShardedStore, ShardedStoreConfig};
-use crate::store::MultiVersionStore;
+use crate::shard::{ShardedStore, ShardedStoreConfig};
+use crate::version_store::{GcStats, GlobalLockStore, VersionStore};
 
 /// Workload shape for [`stress`]: how many threads, how much work, how
 /// skewed the object accesses, how write-heavy the transactions.
@@ -114,22 +109,21 @@ impl StressConfig {
     }
 }
 
-/// Which protocol back-end [`stress`] drives.
+/// Which store [`stress`] runs the protocol over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StressEngine {
-    /// One global `RwLock<MultiVersionStore>` plus a recorder mutex on
-    /// the commit path: the measured baseline.
+    /// The [`GlobalLockStore`], one `RwLock` around everything: the
+    /// measured baseline.
     SingleLock,
-    /// The lock-striped [`ShardedStore`] with thread-local commit
-    /// buffers.
+    /// The lock-striped [`ShardedStore`].
     Sharded {
         /// Lock stripes.
         shards: usize,
         /// Installs per shard between GC passes (0 disables GC).
         gc_interval: u64,
     },
-    /// The [`LockFreeStore`] with thread-local commit buffers: no locks
-    /// on reads, CAS commits, epoch-deferred reclamation.
+    /// The [`LockFreeStore`]: no locks on reads, CAS commits,
+    /// epoch-deferred reclamation.
     LockFree {
         /// Installs between GC passes (0 disables GC).
         gc_interval: u64,
@@ -153,229 +147,6 @@ pub struct StressOutcome {
     pub gc: GcStats,
 }
 
-/// The lock-partitioned shared state of the single-lock baseline.
-#[derive(Debug)]
-struct SharedSi {
-    store: RwLock<MultiVersionStore>,
-    /// Highest fully installed commit sequence number. Published with
-    /// release ordering after the installs it covers; `begin` reads it
-    /// with acquire ordering.
-    commit_counter: AtomicU64,
-    probe: EngineProbe,
-}
-
-/// A thread-owned in-flight transaction: no synchronisation needed until
-/// it reaches for shared state.
-#[derive(Debug)]
-struct InFlight {
-    session: usize,
-    snapshot: u64,
-    writes: BTreeMap<Obj, Value>,
-}
-
-/// The protocol surface the workload driver needs; implemented by both
-/// back-ends so one `worker` exercises either.
-trait StressProtocol: Sync {
-    fn begin(&self, session: usize) -> InFlight;
-    fn read(&self, tx: &InFlight, obj: Obj) -> Value;
-    fn commit(&self, tx: InFlight) -> Result<u64, Obj>;
-    fn abort(&self, tx: InFlight);
-}
-
-impl SharedSi {
-    fn new(object_count: usize, probe: EngineProbe) -> Self {
-        SharedSi {
-            store: RwLock::new(MultiVersionStore::new(object_count)),
-            commit_counter: AtomicU64::new(0),
-            probe,
-        }
-    }
-}
-
-impl StressProtocol for SharedSi {
-    /// Takes a snapshot: a single atomic load, no lock.
-    fn begin(&self, session: usize) -> InFlight {
-        let snapshot = self.commit_counter.load(Ordering::Acquire);
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
-        InFlight { session, snapshot, writes: BTreeMap::new() }
-    }
-
-    /// Snapshot read under the *shared* store lock; concurrent readers
-    /// never block each other.
-    fn read(&self, tx: &InFlight, obj: Obj) -> Value {
-        if let Some(&v) = tx.writes.get(&obj) {
-            return v;
-        }
-        let version = self.store.read().read_at(obj, tx.snapshot);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
-    }
-
-    /// First-committer-wins validation and install, atomic under the
-    /// exclusive store lock. Returns the commit sequence number, or the
-    /// first conflicting object.
-    fn commit(&self, tx: InFlight) -> Result<u64, Obj> {
-        let session = tx.session;
-        let mut store = self.store.write();
-        for &obj in tx.writes.keys() {
-            if store.latest_seq(obj) > tx.snapshot {
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-                return Err(obj);
-            }
-        }
-        // The unsynchronised-looking `load + 1 … store` is sound, and
-        // deliberately NOT a `fetch_add`:
-        //
-        // * No lost increments: `commit_counter` is only ever stored
-        //   while holding the exclusive store lock (we are inside it),
-        //   so commit bodies — load, installs, store — are serialised
-        //   and each commit sees the previous one's value. The `Relaxed`
-        //   load is ordered by the lock's acquire barrier, which
-        //   happens-after the previous holder's release.
-        // * `fetch_add` up front would be a real bug, not a cleanup: it
-        //   publishes the new sequence number *before* the versions are
-        //   installed, so the lock-free `begin` below could take a
-        //   snapshot that includes `seq` yet miss its writes entirely.
-        let seq = self.commit_counter.load(Ordering::Relaxed) + 1;
-        for (&obj, &value) in &tx.writes {
-            store.install(obj, value, seq);
-            self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
-        }
-        // Publish only after every install, still under the write lock:
-        // a lock-free `begin` that observes `seq` must find all of its
-        // versions in place.
-        self.commit_counter.store(seq, Ordering::Release);
-        self.probe.emit(|| ProbeEvent::Committed { session, seq });
-        Ok(seq)
-    }
-
-    /// Abandons an in-flight transaction; its buffered writes simply
-    /// drop.
-    fn abort(&self, tx: InFlight) {
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-    }
-}
-
-/// The sharded back-end: protocol state is the [`ShardedStore`] itself;
-/// commit locking, publication and GC all live in [`crate::shard`].
-#[derive(Debug)]
-struct ShardedSi {
-    store: ShardedStore,
-    probe: EngineProbe,
-}
-
-impl StressProtocol for ShardedSi {
-    fn begin(&self, session: usize) -> InFlight {
-        let snapshot = self.store.begin_snapshot(session);
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
-        InFlight { session, snapshot, writes: BTreeMap::new() }
-    }
-
-    fn read(&self, tx: &InFlight, obj: Obj) -> Value {
-        if let Some(&v) = tx.writes.get(&obj) {
-            return v;
-        }
-        let version = self.store.read_at(obj, tx.snapshot);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
-    }
-
-    fn commit(&self, tx: InFlight) -> Result<u64, Obj> {
-        let session = tx.session;
-        match self.store.commit(session, tx.snapshot, &tx.writes, &self.probe) {
-            Ok(seq) => {
-                self.probe.emit(|| ProbeEvent::Committed { session, seq });
-                Ok(seq)
-            }
-            Err(obj) => {
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-                Err(obj)
-            }
-        }
-    }
-
-    fn abort(&self, tx: InFlight) {
-        self.store.end_snapshot(tx.session);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-    }
-}
-
-/// The lock-free back-end: protocol state is the [`LockFreeStore`];
-/// chain CAS, ring publication and epoch reclamation all live in
-/// [`crate::lockfree`].
-#[derive(Debug)]
-struct LockFreeSi {
-    store: LockFreeStore,
-    probe: EngineProbe,
-}
-
-impl StressProtocol for LockFreeSi {
-    fn begin(&self, session: usize) -> InFlight {
-        let snapshot = self.store.begin_snapshot(session);
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
-        InFlight { session, snapshot, writes: BTreeMap::new() }
-    }
-
-    fn read(&self, tx: &InFlight, obj: Obj) -> Value {
-        if let Some(&v) = tx.writes.get(&obj) {
-            return v;
-        }
-        let version = self.store.read_at(obj, tx.snapshot);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
-    }
-
-    fn commit(&self, tx: InFlight) -> Result<u64, Obj> {
-        let session = tx.session;
-        match self.store.commit(session, tx.snapshot, &tx.writes, &self.probe) {
-            Ok(seq) => {
-                self.probe.emit(|| ProbeEvent::Committed { session, seq });
-                Ok(seq)
-            }
-            Err(obj) => {
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-                Err(obj)
-            }
-        }
-    }
-
-    fn abort(&self, tx: InFlight) {
-        self.store.end_snapshot(tx.session);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-    }
-}
-
-/// Where a worker sends its commit records: the baseline locks the
-/// global recorder *inside* the hot path — yesterday's cost model; the
-/// sharded and lock-free paths buffer locally.
-trait CommitLog {
-    fn on_commit(&mut self, session: usize, ops: Vec<Op>, seq: u64, snapshot: u64);
-    fn on_abort(&mut self);
-}
-
-struct GlobalLog<'a> {
-    recorder: &'a Mutex<Recorder>,
-}
-
-impl CommitLog for GlobalLog<'_> {
-    fn on_commit(&mut self, session: usize, ops: Vec<Op>, seq: u64, snapshot: u64) {
-        let mut rec = self.recorder.lock();
-        rec.stats.committed += 1;
-        rec.stats.ops_executed += ops.len() as u64;
-        rec.record(CommittedTx { session, ops, seq, visible: VisibleSet::Prefix(snapshot) });
-    }
-
-    fn on_abort(&mut self) {
-        self.recorder.lock().stats.aborted += 1;
-    }
-}
-
 /// One buffered commit; the snapshot stays a plain watermark — the
 /// recorder receives it as a [`VisibleSet::Prefix`] at merge time.
 struct LocalCommit {
@@ -384,22 +155,12 @@ struct LocalCommit {
     snapshot: u64,
 }
 
+/// What one worker hands back after the join.
 #[derive(Default)]
 struct LocalLog {
     commits: Vec<LocalCommit>,
     aborted: u64,
     ops_executed: u64,
-}
-
-impl CommitLog for LocalLog {
-    fn on_commit(&mut self, _session: usize, ops: Vec<Op>, seq: u64, snapshot: u64) {
-        self.ops_executed += ops.len() as u64;
-        self.commits.push(LocalCommit { ops, seq, snapshot });
-    }
-
-    fn on_abort(&mut self) {
-        self.aborted += 1;
-    }
 }
 
 fn pick_object(rng: &mut StdRng, cfg: &StressConfig) -> Obj {
@@ -411,95 +172,110 @@ fn pick_object(rng: &mut StdRng, cfg: &StressConfig) -> Obj {
     }
 }
 
-/// One thread's workload loop: seeded read-modify-write transactions
-/// with failure injection; FCW-refused commits are retried until the
-/// quota is met.
-fn worker<P: StressProtocol, L: CommitLog>(
-    shared: &P,
-    log: &mut L,
+/// One thread's workload loop, and the one place the harness spells out
+/// the SI protocol: seeded read-modify-write transactions (own writes
+/// first, then the snapshot) with failure injection; FCW-refused commits
+/// are retried until the quota is met.
+fn worker<S: VersionStore>(
+    store: &S,
+    probe: &EngineProbe,
     cfg: &StressConfig,
-    thread_id: usize,
-) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (thread_id as u64).wrapping_mul(0x9e37));
-    let mut done = 0;
-    while done < cfg.txs_per_thread {
+    session: usize,
+) -> LocalLog {
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (session as u64).wrapping_mul(0x9e37));
+    let mut log = LocalLog::default();
+    while log.commits.len() < cfg.txs_per_thread {
         let inject_abort = cfg.abort_ratio > 0.0 && rng.gen_bool(cfg.abort_ratio);
-        let mut tx = shared.begin(thread_id);
+        let snapshot = store.begin_snapshot(session);
+        probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
+        let mut writes = BTreeMap::new();
         let mut ops = Vec::with_capacity(cfg.ops_per_tx * 2);
         for _ in 0..cfg.ops_per_tx {
             let obj = pick_object(&mut rng, cfg);
-            let read = shared.read(&tx, obj);
+            let read = match writes.get(&obj) {
+                Some(&own) => own,
+                None => {
+                    let version = store.read_at(obj, snapshot);
+                    probe.emit(|| ProbeEvent::VersionObserved {
+                        session,
+                        obj,
+                        seq: version.commit_seq,
+                    });
+                    version.value
+                }
+            };
             ops.push(Op::Read(obj, read));
             if cfg.write_ratio > 0.0 && rng.gen_bool(cfg.write_ratio) {
                 let written = Value(read.0 + 1);
-                tx.writes.insert(obj, written);
+                writes.insert(obj, written);
                 ops.push(Op::Write(obj, written));
             }
         }
         if inject_abort {
-            shared.abort(tx);
-            continue; // does not count towards `done`
+            // Abandoned mid-flight; does not count towards the quota.
+            store.end_snapshot(session);
+            probe.emit(|| ProbeEvent::AttemptDiscarded { session });
+            continue;
         }
-        let snapshot = tx.snapshot;
-        match shared.commit(tx) {
+        match store.commit(session, snapshot, &writes, probe) {
             Ok(seq) => {
-                log.on_commit(thread_id, ops, seq, snapshot);
-                done += 1;
+                probe.emit(|| ProbeEvent::Committed { session, seq });
+                log.ops_executed += ops.len() as u64;
+                log.commits.push(LocalCommit { ops, seq, snapshot });
             }
-            Err(_) => log.on_abort(),
+            Err(_) => {
+                probe.emit(|| ProbeEvent::AttemptDiscarded { session });
+                log.aborted += 1;
+            }
         }
+    }
+    log
+}
+
+/// Committed transactions per second of an execution phase.
+fn throughput_tps(committed: u64, elapsed: Duration) -> f64 {
+    let secs = elapsed.as_secs_f64();
+    if secs > 0.0 {
+        committed as f64 / secs
+    } else {
+        f64::INFINITY
     }
 }
 
-fn outcome(result: RunResult, elapsed: Duration, gc: GcStats) -> StressOutcome {
-    let secs = elapsed.as_secs_f64();
-    let throughput_tps =
-        if secs > 0.0 { result.stats.committed as f64 / secs } else { f64::INFINITY };
-    StressOutcome { result, elapsed, throughput_tps, gc }
-}
-
-/// The thread-local-buffer execution path shared by the sharded and
-/// lock-free back-ends: spawn a worker per thread, merge the buffers
-/// after the join (snapshots become constant-size [`VisibleSet::Prefix`]
-/// records; `Recorder::record` re-asserts per-session monotonicity), and
-/// time only the execution phase.
-fn stress_local_logged<P: StressProtocol>(
-    shared: &P,
+/// The execution phase over one store: spawn a worker per thread, time
+/// spawn to join, then merge the buffers in session order (snapshots
+/// become constant-size [`VisibleSet::Prefix`] records;
+/// `Recorder::record` re-asserts per-session monotonicity).
+fn drive<S: VersionStore>(
+    store: &S,
     config: &StressConfig,
-) -> (Recorder, Duration) {
-    let logs: Mutex<Vec<(usize, LocalLog)>> = Mutex::new(Vec::new());
+    probe: &EngineProbe,
+) -> (Recorder, Duration, GcStats) {
     let start = Instant::now();
-    crossbeam::scope(|scope| {
-        for thread_id in 0..config.threads {
-            let logs = &logs;
-            scope.spawn(move |_| {
-                let mut log = LocalLog::default();
-                worker(shared, &mut log, config, thread_id);
-                // One push per thread lifetime, not per commit.
-                logs.lock().push((thread_id, log));
-            });
-        }
+    let logs: Vec<LocalLog> = crossbeam::scope(|scope| {
+        let workers: Vec<_> = (0..config.threads)
+            .map(|session| scope.spawn(move |_| worker(store, probe, config, session)))
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("stress thread panicked")).collect()
     })
     .expect("stress thread panicked");
     let elapsed = start.elapsed();
 
-    let mut logs = logs.into_inner();
-    logs.sort_by_key(|&(thread_id, _)| thread_id);
     let mut recorder = Recorder::new();
-    for (thread_id, log) in logs {
+    for (session, log) in logs.into_iter().enumerate() {
         recorder.stats.aborted += log.aborted;
         recorder.stats.ops_executed += log.ops_executed;
         for c in log.commits {
             recorder.stats.committed += 1;
             recorder.record(CommittedTx {
-                session: thread_id,
+                session,
                 ops: c.ops,
                 seq: c.seq,
                 visible: VisibleSet::Prefix(c.snapshot),
             });
         }
     }
-    (recorder, elapsed)
+    (recorder, elapsed, store.gc_stats())
 }
 
 /// Runs the configured workload against the chosen back-end and returns
@@ -527,9 +303,14 @@ pub fn stress_probed(
     probe: EngineProbe,
 ) -> StressOutcome {
     let initial_values = vec![Value::INITIAL; config.object_count];
-    let (recorder, elapsed, gc) = run_stress(config, engine, probe);
+    let (recorder, elapsed, gc) = run_stress(config, engine, &probe);
     let result = recorder.finish(&initial_values, config.threads);
-    outcome(result, elapsed, gc)
+    StressOutcome {
+        throughput_tps: throughput_tps(result.stats.committed, elapsed),
+        result,
+        elapsed,
+        gc,
+    }
 }
 
 /// A stress run recorded without ground-truth relations: the history,
@@ -556,64 +337,39 @@ pub struct StressHistory {
 /// than trusting engine-reported relations anyway.
 pub fn stress_history_only(config: &StressConfig, engine: StressEngine) -> StressHistory {
     let initial_values = vec![Value::INITIAL; config.object_count];
-    let (recorder, elapsed, gc) = run_stress(config, engine, EngineProbe::disabled());
+    let (recorder, elapsed, gc) = run_stress(config, engine, &EngineProbe::disabled());
     let (history, stats, _metrics) = recorder.finish_history_only(&initial_values, config.threads);
-    let secs = elapsed.as_secs_f64();
-    let throughput_tps = if secs > 0.0 { stats.committed as f64 / secs } else { f64::INFINITY };
-    StressHistory { history, stats, elapsed, throughput_tps, gc }
+    StressHistory {
+        history,
+        stats,
+        elapsed,
+        throughput_tps: throughput_tps(stats.committed, elapsed),
+        gc,
+    }
 }
 
-/// The execution phase shared by [`stress_probed`] and
-/// [`stress_history_only`]: spawn, drive, join, merge — everything but
-/// the finishing step that turns the recorder into a result.
+/// Checks the config and builds the store [`StressEngine`] names; the
+/// execution phase itself is [`drive`].
 fn run_stress(
     config: &StressConfig,
     engine: StressEngine,
-    probe: EngineProbe,
+    probe: &EngineProbe,
 ) -> (Recorder, Duration, GcStats) {
     assert!(config.object_count > 0, "need at least one object");
     assert!(config.threads > 0, "need at least one thread");
     assert!(config.txs_per_thread > 0, "need a per-thread commit quota");
     assert!(config.ops_per_tx > 0, "transactions need at least one step");
 
+    let (objects, sessions) = (config.object_count, config.threads);
     match engine {
-        StressEngine::SingleLock => {
-            let shared = SharedSi::new(config.object_count, probe);
-            let recorder = Mutex::new(Recorder::new());
-            let start = Instant::now();
-            crossbeam::scope(|scope| {
-                for thread_id in 0..config.threads {
-                    let shared = &shared;
-                    let recorder = &recorder;
-                    scope.spawn(move |_| {
-                        let mut log = GlobalLog { recorder };
-                        worker(shared, &mut log, config, thread_id);
-                    });
-                }
-            })
-            .expect("stress thread panicked");
-            let elapsed = start.elapsed();
-            (recorder.into_inner(), elapsed, GcStats::default())
-        }
+        StressEngine::SingleLock => drive(&GlobalLockStore::new(objects, ()), config, probe),
         StressEngine::Sharded { shards, gc_interval } => {
-            let store = ShardedStore::new(
-                config.object_count,
-                ShardedStoreConfig { shards, gc_interval, sessions: config.threads },
-            );
-            let shared = ShardedSi { store, probe };
-            let (recorder, elapsed) = stress_local_logged(&shared, config);
-            let gc = shared.store.gc_stats();
-            (recorder, elapsed, gc)
+            let store_config = ShardedStoreConfig { shards, gc_interval, sessions };
+            drive(&ShardedStore::new(objects, store_config), config, probe)
         }
         StressEngine::LockFree { gc_interval } => {
-            let store = LockFreeStore::new(
-                config.object_count,
-                LockFreeStoreConfig { gc_interval, sessions: config.threads },
-            );
-            let shared = LockFreeSi { store, probe };
-            let (recorder, elapsed) = stress_local_logged(&shared, config);
-            let gc = shared.store.gc_stats();
-            (recorder, elapsed, gc)
+            let store_config = LockFreeStoreConfig { gc_interval, sessions };
+            drive(&LockFreeStore::new(objects, store_config), config, probe)
         }
     }
 }
@@ -670,6 +426,35 @@ mod tests {
     use si_execution::SpecModel;
     use std::sync::Arc;
 
+    /// One row per store; every table-driven test below runs all three.
+    const ENGINES: [StressEngine; 3] = [
+        StressEngine::SingleLock,
+        StressEngine::Sharded { shards: 2, gc_interval: 16 },
+        StressEngine::LockFree { gc_interval: 16 },
+    ];
+
+    /// Single-step increment transactions: every commit adds exactly one
+    /// to exactly one counter.
+    fn increments(object_count: usize, threads: usize, txs_per_thread: usize) -> StressConfig {
+        StressConfig {
+            object_count,
+            threads,
+            txs_per_thread,
+            ops_per_tx: 1,
+            write_ratio: 1.0,
+            hot_ratio: 0.0,
+            hot_objects: 0,
+            abort_ratio: 0.1,
+            seed: 99,
+        }
+    }
+
+    fn probed(config: &StressConfig, engine: StressEngine) -> (StressOutcome, Vec<ProbeEvent>) {
+        let sink = Arc::new(VecProbe::new());
+        let out = stress_probed(config, engine, EngineProbe::new(sink.clone()));
+        (out, sink.drain())
+    }
+
     #[test]
     fn concurrent_run_is_a_legal_si_execution() {
         let result = stress_si_engine(4, 4, 25, 0xC0FFEE);
@@ -678,82 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_never_lose_updates() {
-        // Every committed increment must be reflected: the sum of final
-        // object values equals the number of committed transactions.
-        let result = stress_si_engine(2, 3, 20, 7);
-        let history = &result.history;
-        let n = history.tx_count();
-        let mut finals = [Value::INITIAL; 2];
-        // Replay the version order: the last committed write per object.
-        for i in 1..n {
-            let t = history.transaction(si_relations::TxId::from_index(i));
-            for op in t.ops() {
-                if op.is_write() {
-                    finals[op.obj().index()] = op.value();
-                }
-            }
-        }
-        let total: u64 = finals.iter().map(|v| v.0).sum();
-        assert_eq!(total, result.stats.committed);
-    }
-
-    #[test]
-    fn probed_run_reports_every_commit() {
-        let sink = Arc::new(VecProbe::new());
-        let probe = EngineProbe::new(sink.clone());
-        let result = stress_si_engine_probed(2, 2, 10, 42, probe);
-        let events = sink.drain();
-        let commits =
-            events.iter().filter(|e| matches!(e, ProbeEvent::Committed { .. })).count() as u64;
-        assert_eq!(commits, result.stats.committed);
-        // Installs are published before the commit counter: every
-        // Committed { seq } is preceded in the log by its installs.
-        for (i, e) in events.iter().enumerate() {
-            if let ProbeEvent::Committed { seq, .. } = e {
-                let installed = events[..i]
-                    .iter()
-                    .any(|p| matches!(p, ProbeEvent::VersionInstalled { seq: s, .. } if s == seq));
-                assert!(installed, "commit {seq} published before its installs");
-            }
-        }
-    }
-
-    #[test]
-    fn commit_sequence_is_dense_and_duplicate_free() {
-        // Regression for the commit-counter publication protocol: the
-        // `load(Relaxed) + 1 … store(Release)` pair in `SharedSi::commit`
-        // relies on the exclusive store lock for mutual exclusion. If
-        // that coupling ever broke (an unlocked fast path, or a
-        // `fetch_add` moved before the installs), concurrent committers
-        // would mint duplicate or gapped sequence numbers, or publish a
-        // sequence number whose versions are not yet installed.
-        let sink = Arc::new(VecProbe::new());
-        let probe = EngineProbe::new(sink.clone());
-        let result = stress_si_engine_probed(4, 8, 50, 0x5EC5, probe);
-        let events = sink.drain();
-        let mut seqs: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                ProbeEvent::Committed { seq, .. } => Some(*seq),
-                _ => None,
-            })
-            .collect();
-        seqs.sort_unstable();
-        let expected: Vec<u64> = (1..=result.stats.committed).collect();
-        assert_eq!(seqs, expected, "commit sequence numbers must be exactly 1..=committed");
-        // Every installed version belongs to a committed transaction —
-        // no version was minted under a sequence number that never
-        // published.
-        for e in &events {
-            if let ProbeEvent::VersionInstalled { seq, .. } = e {
-                assert!(*seq >= 1 && *seq <= result.stats.committed, "orphaned install {seq}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_stress_run_is_a_legal_si_execution() {
+    fn stress_runs_are_legal_si_executions() {
         let config = StressConfig {
             object_count: 8,
             threads: 4,
@@ -765,147 +475,114 @@ mod tests {
             abort_ratio: 0.05,
             seed: 0xBEEF,
         };
-        let out = stress(&config, StressEngine::Sharded { shards: 4, gc_interval: 8 });
-        assert_eq!(out.result.stats.committed, 100);
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
+        for engine in ENGINES {
+            let out = stress(&config, engine);
+            assert_eq!(out.result.stats.committed, 100, "{engine:?}");
+            assert!(SpecModel::Si.check(&out.result.execution).is_ok(), "{engine:?}");
+        }
     }
 
     #[test]
-    fn sharded_counters_never_lose_updates() {
-        // Single-step increment transactions on a sharded store: the sum
-        // of final values must equal the committed count, i.e. FCW held
-        // across shards and threads.
-        let config = StressConfig {
-            object_count: 4,
-            threads: 4,
-            txs_per_thread: 25,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.1,
-            seed: 99,
-        };
-        let out = stress(&config, StressEngine::Sharded { shards: 2, gc_interval: 16 });
-        let history = &out.result.history;
-        let mut finals = [Value::INITIAL; 4];
-        for i in 1..history.tx_count() {
-            let t = history.transaction(si_relations::TxId::from_index(i));
-            for op in t.ops() {
-                if op.is_write() {
-                    finals[op.obj().index()] = op.value();
+    fn counters_never_lose_updates() {
+        // The sum of final values must equal the committed count, i.e.
+        // first-committer-wins held across shards, CAS races and threads.
+        let config = increments(4, 4, 25);
+        for engine in ENGINES {
+            let out = stress(&config, engine);
+            let history = &out.result.history;
+            let mut finals = [Value::INITIAL; 4];
+            // Replay the version order: the last committed write per object.
+            for i in 1..history.tx_count() {
+                let t = history.transaction(si_relations::TxId::from_index(i));
+                for op in t.ops() {
+                    if op.is_write() {
+                        finals[op.obj().index()] = op.value();
+                    }
+                }
+            }
+            let total: u64 = finals.iter().map(|v| v.0).sum();
+            assert_eq!(total, out.result.stats.committed, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn probed_run_reports_every_commit() {
+        for engine in ENGINES {
+            let (out, events) = probed(&increments(2, 2, 10), engine);
+            let commits =
+                events.iter().filter(|e| matches!(e, ProbeEvent::Committed { .. })).count() as u64;
+            assert_eq!(commits, out.result.stats.committed, "{engine:?}");
+            // Installs are published before the commit fence: every
+            // Committed { seq } is preceded in the log by its installs.
+            for (i, e) in events.iter().enumerate() {
+                if let ProbeEvent::Committed { seq, .. } = e {
+                    let installed = events[..i].iter().any(
+                        |p| matches!(p, ProbeEvent::VersionInstalled { seq: s, .. } if s == seq),
+                    );
+                    assert!(installed, "{engine:?}: commit {seq} published before its installs");
                 }
             }
         }
-        let total: u64 = finals.iter().map(|v| v.0).sum();
-        assert_eq!(total, out.result.stats.committed);
     }
 
     #[test]
-    fn sharded_stress_exercises_gc() {
-        let config = StressConfig {
-            object_count: 4,
-            threads: 2,
-            txs_per_thread: 50,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.0,
-            seed: 1,
-        };
-        let out = stress(&config, StressEngine::Sharded { shards: 2, gc_interval: 4 });
-        assert!(out.gc.passes > 0, "GC never fired under stress");
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
-    }
-
-    #[test]
-    fn both_backends_meet_the_same_quota() {
-        let config = StressConfig::high_contention(3, 15, 0xD0_0D);
-        let single = stress(&config, StressEngine::SingleLock);
-        let sharded = stress(&config, StressEngine::Sharded { shards: 4, gc_interval: 32 });
-        assert_eq!(single.result.stats.committed, 45);
-        assert_eq!(sharded.result.stats.committed, 45);
-        assert!(SpecModel::Si.check(&single.result.execution).is_ok());
-        assert!(SpecModel::Si.check(&sharded.result.execution).is_ok());
-    }
-
-    #[test]
-    fn lockfree_stress_run_is_a_legal_si_execution() {
-        let config = StressConfig {
-            object_count: 8,
-            threads: 4,
-            txs_per_thread: 25,
-            ops_per_tx: 2,
-            write_ratio: 0.7,
-            hot_ratio: 0.5,
-            hot_objects: 2,
-            abort_ratio: 0.05,
-            seed: 0xFACE,
-        };
-        let out = stress(&config, StressEngine::LockFree { gc_interval: 8 });
-        assert_eq!(out.result.stats.committed, 100);
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
-    }
-
-    #[test]
-    fn lockfree_counters_never_lose_updates() {
-        // Single-step increment transactions through the CAS commit
-        // path: the sum of final values must equal the committed count,
-        // i.e. first-committer-wins held under real concurrency.
-        let config = StressConfig {
-            object_count: 4,
-            threads: 4,
-            txs_per_thread: 25,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.1,
-            seed: 101,
-        };
-        let out = stress(&config, StressEngine::LockFree { gc_interval: 16 });
-        let history = &out.result.history;
-        let mut finals = [Value::INITIAL; 4];
-        for i in 1..history.tx_count() {
-            let t = history.transaction(si_relations::TxId::from_index(i));
-            for op in t.ops() {
-                if op.is_write() {
-                    finals[op.obj().index()] = op.value();
+    fn commit_sequence_is_dense_and_duplicate_free() {
+        // Regression for the commit-counter publication protocol: the
+        // `load(Relaxed) + 1 … store(Release)` pair in
+        // `GlobalLockStore::commit` relies on the exclusive store lock
+        // for mutual exclusion. If that coupling ever broke (an unlocked
+        // fast path, or a `fetch_add` moved before the installs),
+        // concurrent committers would mint duplicate or gapped sequence
+        // numbers, or publish a sequence number whose versions are not
+        // yet installed. The other two stores allocate by `fetch_add`
+        // after validation and owe the same density.
+        for engine in ENGINES {
+            let (out, events) = probed(&increments(4, 8, 50), engine);
+            let committed = out.result.stats.committed;
+            let mut seqs: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match e {
+                    ProbeEvent::Committed { seq, .. } => Some(*seq),
+                    _ => None,
+                })
+                .collect();
+            seqs.sort_unstable();
+            let expected: Vec<u64> = (1..=committed).collect();
+            assert_eq!(seqs, expected, "{engine:?}: commit sequence must be exactly 1..=committed");
+            // Every installed version belongs to a committed transaction —
+            // no version was minted under a sequence number that never
+            // published.
+            for e in &events {
+                if let ProbeEvent::VersionInstalled { seq, .. } = e {
+                    assert!(*seq >= 1 && *seq <= committed, "{engine:?}: orphaned install {seq}");
                 }
             }
         }
-        let total: u64 = finals.iter().map(|v| v.0).sum();
-        assert_eq!(total, out.result.stats.committed);
     }
 
     #[test]
-    fn lockfree_stress_exercises_gc_and_reclamation() {
-        let config = StressConfig {
-            object_count: 4,
-            threads: 2,
-            txs_per_thread: 50,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.0,
-            seed: 2,
-        };
-        let out = stress(&config, StressEngine::LockFree { gc_interval: 4 });
-        assert!(out.gc.passes > 0, "GC never fired under stress");
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
+    fn stress_exercises_gc_where_the_store_collects() {
+        let config = StressConfig { abort_ratio: 0.0, ..increments(4, 2, 50) };
+        for engine in [
+            StressEngine::Sharded { shards: 2, gc_interval: 4 },
+            StressEngine::LockFree { gc_interval: 4 },
+        ] {
+            let out = stress(&config, engine);
+            assert!(out.gc.passes > 0, "{engine:?}: GC never fired under stress");
+            assert!(SpecModel::Si.check(&out.result.execution).is_ok(), "{engine:?}");
+        }
+        assert_eq!(stress(&config, StressEngine::SingleLock).gc, GcStats::default());
     }
 
     #[test]
-    fn all_three_backends_meet_the_same_quota() {
-        let config = StressConfig::high_contention(3, 15, 0xD00E);
-        let single = stress(&config, StressEngine::SingleLock);
-        let sharded = stress(&config, StressEngine::Sharded { shards: 4, gc_interval: 32 });
-        let lockfree = stress(&config, StressEngine::LockFree { gc_interval: 32 });
-        assert_eq!(single.result.stats.committed, 45);
-        assert_eq!(sharded.result.stats.committed, 45);
-        assert_eq!(lockfree.result.stats.committed, 45);
-        assert!(SpecModel::Si.check(&lockfree.result.execution).is_ok());
+    fn all_three_stores_meet_the_same_quota() {
+        for seed in [0xD0_0D, 0xD00E] {
+            let config = StressConfig::high_contention(3, 15, seed);
+            for engine in ENGINES {
+                let out = stress(&config, engine);
+                assert_eq!(out.result.stats.committed, 45, "{engine:?}");
+                assert!(SpecModel::Si.check(&out.result.execution).is_ok(), "{engine:?}");
+            }
+        }
     }
 }

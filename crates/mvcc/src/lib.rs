@@ -21,18 +21,22 @@
 //!   runtime prevention of the Theorem 19 dangerous structure (a pivot
 //!   with adjacent inbound and outbound anti-dependencies), so every
 //!   committed run is serializable while retaining SI's reads;
-//! * [`ShardedSiEngine`] — the same SI protocol over the lock-striped
-//!   [`ShardedStore`] (per-shard `RwLock`s, ascending-order multi-shard
-//!   commit locking, watermark publication, epoch GC). Driven by the
-//!   scheduler it is deterministic and byte-identical to [`SiEngine`];
-//!   the [`stress`] harness runs the same store genuinely parallel and
-//!   validates the run post hoc;
-//! * [`LockFreeSiEngine`] — the same SI protocol again over the
-//!   [`LockFreeStore`]: atomic version chains (readers take **no** lock),
-//!   CAS-validated first-committer-wins, a lock-free commit-completion
-//!   ring for out-of-order watermark publication, and epoch-deferred
-//!   node reclamation. Deterministic and byte-identical to [`SiEngine`]
-//!   under the scheduler, genuinely parallel under [`stress`].
+//! * [`StoreSiEngine`] — the same SI protocol, written once over the
+//!   [`VersionStore`] contract and instantiated per store. Driven by the
+//!   scheduler every instance is deterministic and byte-identical to
+//!   [`SiEngine`]; the [`stress`] harness runs the same stores genuinely
+//!   parallel and validates the run post hoc:
+//!   * [`ShardedSiEngine`] over the lock-striped [`ShardedStore`]
+//!     (per-shard `RwLock`s, ascending-order multi-shard commit locking,
+//!     watermark publication, epoch GC);
+//!   * [`LockFreeSiEngine`] over the [`LockFreeStore`]: atomic version
+//!     chains (readers take **no** lock), CAS-validated
+//!     first-committer-wins, a lock-free commit-completion ring for
+//!     out-of-order watermark publication, and epoch-deferred node
+//!     reclamation;
+//!   * [`GlobalLockSiEngine`] over the [`GlobalLockStore`], one `RwLock`
+//!     around the whole [`MultiVersionStore`]: the baseline the other
+//!     two are measured against.
 //!
 //! Every engine reports ground truth on commit: its commit sequence
 //! number and the set of transactions visible to its snapshot. The
@@ -77,7 +81,6 @@
 mod concurrent;
 mod engine;
 pub mod lockfree;
-mod lockfree_engine;
 pub mod probe;
 mod psi_engine;
 mod recorder;
@@ -86,11 +89,12 @@ mod scheduler;
 mod script;
 mod ser_engine;
 pub mod shard;
-mod sharded_engine;
 mod si_engine;
 mod small;
 mod ssi_engine;
 mod store;
+mod store_engine;
+mod version_store;
 
 pub use concurrent::{
     stress, stress_history_only, stress_probed, stress_si_engine, stress_si_engine_probed,
@@ -98,7 +102,6 @@ pub use concurrent::{
 };
 pub use engine::{AbortReason, CommitInfo, Engine, TxToken};
 pub use lockfree::{ArenaStats, LockFreeStore, LockFreeStoreConfig};
-pub use lockfree_engine::LockFreeSiEngine;
 pub use probe::{EngineProbe, ProbeEvent, ProbeSink, VecProbe};
 pub use psi_engine::PsiEngine;
 pub use recorder::{CommittedTx, Recorder, RunResult, RunStats, VisibleSet};
@@ -106,12 +109,13 @@ pub use ring::CompletionRing;
 pub use scheduler::{Scheduler, SchedulerConfig, Workload};
 pub use script::{Script, ScriptOp};
 pub use ser_engine::SerEngine;
-pub use shard::{GcStats, ShardedStore, ShardedStoreConfig, SnapshotRegistry};
-pub use sharded_engine::ShardedSiEngine;
+pub use shard::{ShardedStore, ShardedStoreConfig};
 pub use si_engine::SiEngine;
 pub use small::SmallVec;
 pub use ssi_engine::SsiEngine;
 pub use store::{MultiVersionStore, Version};
+pub use store_engine::{GlobalLockSiEngine, LockFreeSiEngine, ShardedSiEngine, StoreSiEngine};
+pub use version_store::{GcStats, GlobalLockStore, SnapshotRegistry, VersionStore};
 
 pub use si_model::{History, Obj, Value};
 pub use si_telemetry::{

@@ -66,9 +66,9 @@ use si_model::{Obj, Value};
 
 use crate::probe::{EngineProbe, ProbeEvent};
 use crate::ring::CompletionRing;
-use crate::shard::{GcStats, SnapshotRegistry};
 use crate::small::SmallVec;
 use crate::store::Version;
+use crate::version_store::{GcStats, SnapshotRegistry, VersionStore};
 
 /// `next` sentinel: end of a chain / no node.
 const NIL: u64 = u64::MAX;
@@ -200,9 +200,10 @@ impl NodeArena {
 }
 
 // ======================= BEGIN LOCK-FREE READ PATH =======================
-// Everything down to the END marker executes on the reader's hot path.
-// It must never block: plain atomic loads only, no blocking or spinning
-// primitive of any kind. The source lint in
+// Everything down to the END marker — it sits inside the `VersionStore`
+// impl, after `read_at` — is what a read-only transaction executes:
+// begin, read, abandon. It must never block: plain atomic operations
+// only, no blocking or spinning primitive of any kind. The source lint in
 // crates/mvcc/tests/lockfree_properties.rs greps this region for the
 // forbidden tokens and fails if one ever creeps in.
 
@@ -216,30 +217,6 @@ impl NodeArena {
 }
 
 impl LockFreeStore {
-    /// Snapshot read: a pure chain walk. Skips pending intents (their
-    /// `PENDING` sequence exceeds every snapshot) and returns the
-    /// newest version at or below `snapshot`. Takes no lock and never
-    /// waits on another thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` is out of range.
-    pub fn read_at(&self, obj: Obj, snapshot: u64) -> Version {
-        let mut idx = self.heads[obj.index()].load(Ordering::SeqCst);
-        loop {
-            assert!(idx != NIL, "GC keeps the newest version at or below every live snapshot");
-            let node = self.arena.node(idx);
-            let seq = node.commit_seq.load(Ordering::SeqCst);
-            if seq <= snapshot {
-                return Version {
-                    value: Value(node.value.load(Ordering::SeqCst)),
-                    commit_seq: seq,
-                };
-            }
-            idx = node.next.load(Ordering::SeqCst);
-        }
-    }
-
     /// The commit sequence of the newest *committed* version of `obj`
     /// (pending intents are skipped), also lock-free.
     ///
@@ -260,7 +237,132 @@ impl LockFreeStore {
     }
 }
 
-// ======================== END LOCK-FREE READ PATH ========================
+impl VersionStore for LockFreeStore {
+    type Config = LockFreeStoreConfig;
+
+    const NAME: &'static str = "SI-lockfree";
+
+    /// The same conservative-guess-first protocol as the sharded store
+    /// (the race argument in `shard.rs` applies verbatim: `published` is
+    /// monotone and GC reads it before scanning slots). Additionally
+    /// stamps the session's registration epoch, which fences retired
+    /// nodes from reclamation for as long as the session stays live.
+    fn begin_snapshot(&self, session: usize) -> u64 {
+        // Conservative epoch first (a concurrent GC pass that bumps the
+        // epoch after this load merely keeps the batch longer), then the
+        // guess/snapshot pair. The stamp is stored once `register` has
+        // range-checked the session — still ahead of the session's
+        // first chain walk, which is all the fence protects.
+        let epoch = self.epoch.load(Ordering::SeqCst);
+        let guess = self.ring.published();
+        self.registry.register(session, guess);
+        self.reg_epochs[session].store(epoch, Ordering::SeqCst);
+        self.ring.published()
+    }
+
+    fn end_snapshot(&self, session: usize) {
+        self.registry.release(session);
+        self.reg_epochs[session].store(EPOCH_IDLE, Ordering::SeqCst);
+    }
+
+    /// Snapshot read: a pure chain walk. Skips pending intents (their
+    /// `PENDING` sequence exceeds every snapshot) and returns the
+    /// newest version at or below `snapshot`. Takes no lock and never
+    /// waits on another thread.
+    fn read_at(&self, obj: Obj, snapshot: u64) -> Version {
+        let mut idx = self.heads[obj.index()].load(Ordering::SeqCst);
+        loop {
+            assert!(idx != NIL, "GC keeps the newest version at or below every live snapshot");
+            let node = self.arena.node(idx);
+            let seq = node.commit_seq.load(Ordering::SeqCst);
+            if seq <= snapshot {
+                return Version {
+                    value: Value(node.value.load(Ordering::SeqCst)),
+                    commit_seq: seq,
+                };
+            }
+            idx = node.next.load(Ordering::SeqCst);
+        }
+    }
+
+    // ======================== END LOCK-FREE READ PATH ========================
+
+    /// # Panics
+    ///
+    /// Panics if `config.sessions` is zero.
+    fn new(object_count: usize, config: LockFreeStoreConfig) -> Self {
+        assert!(config.sessions > 0, "need at least one session slot");
+        let arena = NodeArena::new();
+        let heads = (0..object_count)
+            .map(|_| {
+                let idx = arena.alloc();
+                let node = arena.node(idx);
+                node.value.store(Value::INITIAL.0, Ordering::SeqCst);
+                node.commit_seq.store(0, Ordering::SeqCst);
+                node.next.store(NIL, Ordering::SeqCst);
+                AtomicU64::new(idx)
+            })
+            .collect();
+        LockFreeStore {
+            arena,
+            heads,
+            object_count,
+            initials: vec![Value::INITIAL; object_count],
+            alloc: AtomicU64::new(0),
+            ring: CompletionRing::new(config.sessions),
+            registry: SnapshotRegistry::new(config.sessions),
+            reg_epochs: (0..config.sessions).map(|_| AtomicU64::new(EPOCH_IDLE)).collect(),
+            epoch: AtomicU64::new(0),
+            retired: Mutex::new(VecDeque::new()),
+            gc_guard: Mutex::new(()),
+            floor_hwm: AtomicU64::new(0),
+            installs_since_gc: AtomicU64::new(0),
+            gc_interval: config.gc_interval,
+            gc_passes: AtomicU64::new(0),
+            gc_pruned: AtomicU64::new(0),
+        }
+    }
+
+    fn object_count(&self) -> usize {
+        self.object_count
+    }
+
+    fn set_initial(&mut self, obj: Obj, value: Value) {
+        assert_eq!(
+            self.alloc.load(Ordering::SeqCst),
+            0,
+            "cannot reset initial value after commits"
+        );
+        let idx = self.heads[obj.index()].load(Ordering::SeqCst);
+        self.arena.node(idx).value.store(value.0, Ordering::SeqCst);
+        self.initials[obj.index()] = value;
+    }
+
+    fn initial(&self, obj: Obj) -> Value {
+        self.initials[obj.index()]
+    }
+
+    /// First-committer-wins validation, intent installation, sequence
+    /// allocation and ring publication.
+    fn commit(
+        &self,
+        session: usize,
+        snapshot: u64,
+        writes: &BTreeMap<Obj, Value>,
+        probe: &EngineProbe,
+    ) -> Result<u64, Obj> {
+        let result = self.commit_unregistered(session, snapshot, writes, probe);
+        self.end_snapshot(session);
+        result
+    }
+
+    fn gc_stats(&self) -> GcStats {
+        GcStats {
+            passes: self.gc_passes.load(Ordering::Relaxed),
+            pruned: self.gc_pruned.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// Configuration of a [`LockFreeStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,122 +443,6 @@ pub struct LockFreeStore {
 }
 
 impl LockFreeStore {
-    /// Creates a store over `object_count` objects (all initialised to 0
-    /// at sequence 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.sessions` is zero.
-    pub fn new(object_count: usize, config: LockFreeStoreConfig) -> Self {
-        assert!(config.sessions > 0, "need at least one session slot");
-        let arena = NodeArena::new();
-        let heads = (0..object_count)
-            .map(|_| {
-                let idx = arena.alloc();
-                let node = arena.node(idx);
-                node.value.store(Value::INITIAL.0, Ordering::SeqCst);
-                node.commit_seq.store(0, Ordering::SeqCst);
-                node.next.store(NIL, Ordering::SeqCst);
-                AtomicU64::new(idx)
-            })
-            .collect();
-        LockFreeStore {
-            arena,
-            heads,
-            object_count,
-            initials: vec![Value::INITIAL; object_count],
-            alloc: AtomicU64::new(0),
-            ring: CompletionRing::new(config.sessions),
-            registry: SnapshotRegistry::new(config.sessions),
-            reg_epochs: (0..config.sessions).map(|_| AtomicU64::new(EPOCH_IDLE)).collect(),
-            epoch: AtomicU64::new(0),
-            retired: Mutex::new(VecDeque::new()),
-            gc_guard: Mutex::new(()),
-            floor_hwm: AtomicU64::new(0),
-            installs_since_gc: AtomicU64::new(0),
-            gc_interval: config.gc_interval,
-            gc_passes: AtomicU64::new(0),
-            gc_pruned: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of objects.
-    pub fn object_count(&self) -> usize {
-        self.object_count
-    }
-
-    /// Overrides an object's initial value (sequence 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any commit already happened or `obj` is out of range.
-    pub fn set_initial(&mut self, obj: Obj, value: Value) {
-        assert_eq!(
-            self.alloc.load(Ordering::SeqCst),
-            0,
-            "cannot reset initial value after commits"
-        );
-        let idx = self.heads[obj.index()].load(Ordering::SeqCst);
-        self.arena.node(idx).value.store(value.0, Ordering::SeqCst);
-        self.initials[obj.index()] = value;
-    }
-
-    /// The initial value of an object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` is out of range.
-    pub fn initial(&self, obj: Obj) -> Value {
-        self.initials[obj.index()]
-    }
-
-    /// Takes a snapshot for `session` and registers it as live, with the
-    /// same conservative-guess-first protocol as the sharded store (the
-    /// race argument in `shard.rs` applies verbatim: `published` is
-    /// monotone and GC reads it before scanning slots). Additionally
-    /// stamps the session's registration epoch, which fences retired
-    /// nodes from reclamation for as long as the session stays live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session already has a registered transaction or is
-    /// out of registry range.
-    pub fn begin_snapshot(&self, session: usize) -> u64 {
-        // Conservative epoch first (a concurrent GC pass that bumps the
-        // epoch after this load merely keeps the batch longer), then the
-        // guess/snapshot pair.
-        self.reg_epochs[session].store(self.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
-        let guess = self.ring.published();
-        self.registry.register(session, guess);
-        self.ring.published()
-    }
-
-    /// Unregisters the session's live snapshot (commit does this
-    /// internally; abort paths call it directly).
-    pub fn end_snapshot(&self, session: usize) {
-        self.registry.release(session);
-        self.reg_epochs[session].store(EPOCH_IDLE, Ordering::SeqCst);
-    }
-
-    /// First-committer-wins validation, intent installation, sequence
-    /// allocation and ring publication. Unregisters the session's
-    /// snapshot either way. Returns the commit sequence, or the first
-    /// conflicting object.
-    ///
-    /// Installs and GC prunes are reported through `probe`; the caller
-    /// owns the `Committed` / `AttemptDiscarded` fence events.
-    pub fn commit(
-        &self,
-        session: usize,
-        snapshot: u64,
-        writes: &BTreeMap<Obj, Value>,
-        probe: &EngineProbe,
-    ) -> Result<u64, Obj> {
-        let result = self.commit_unregistered(session, snapshot, writes, probe);
-        self.end_snapshot(session);
-        result
-    }
-
     fn commit_unregistered(
         &self,
         session: usize,
@@ -654,14 +640,6 @@ impl LockFreeStore {
     /// observe).
     pub fn published(&self) -> u64 {
         self.ring.published()
-    }
-
-    /// GC counters so far.
-    pub fn gc_stats(&self) -> GcStats {
-        GcStats {
-            passes: self.gc_passes.load(Ordering::Relaxed),
-            pruned: self.gc_pruned.load(Ordering::Relaxed),
-        }
     }
 
     /// Allocator counters so far.

@@ -56,9 +56,8 @@ use si_model::{Obj, Value};
 use crate::probe::{EngineProbe, ProbeEvent};
 use crate::ring::CompletionRing;
 use crate::store::Version;
-
-/// Registry slot value meaning "no transaction in flight".
-const IDLE: u64 = u64::MAX;
+use crate::version_store::VersionStore;
+pub use crate::version_store::{GcStats, SnapshotRegistry};
 
 /// Configuration of a [`ShardedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,71 +76,6 @@ pub struct ShardedStoreConfig {
 impl Default for ShardedStoreConfig {
     fn default() -> Self {
         ShardedStoreConfig { shards: 8, gc_interval: 128, sessions: 64 }
-    }
-}
-
-/// Counters of the garbage collector, snapshotted by
-/// [`ShardedStore::gc_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct GcStats {
-    /// Prune passes that ran (one per shard per trigger).
-    pub passes: u64,
-    /// Versions dropped across all passes.
-    pub pruned: u64,
-}
-
-/// Tracks the snapshot of every in-flight transaction so GC can bound
-/// the oldest live snapshot. One fixed slot per session: sessions are
-/// sequential clients, so each has at most one transaction in flight.
-///
-/// An atomic live count lets the per-GC-pass `oldest` scan early-exit
-/// when nothing is in flight — with large session capacities the scan
-/// is otherwise O(slots) of SeqCst loads on every pass even on an idle
-/// store, which the 10^6-transaction grids can feel. The count is
-/// incremented *before* the slot store and decremented *after* the
-/// slot clear, so "live = 0" always implies "every slot is idle".
-#[derive(Debug)]
-pub struct SnapshotRegistry {
-    slots: Vec<AtomicU64>,
-    live: AtomicU64,
-}
-
-impl SnapshotRegistry {
-    pub(crate) fn new(sessions: usize) -> Self {
-        SnapshotRegistry {
-            slots: (0..sessions).map(|_| AtomicU64::new(IDLE)).collect(),
-            live: AtomicU64::new(0),
-        }
-    }
-
-    /// Marks `session` live with a conservative snapshot bound. Must be
-    /// stored *before* the real snapshot is taken (see the module docs
-    /// for why that ordering closes the race with a concurrent GC scan).
-    pub(crate) fn register(&self, session: usize, guess: u64) {
-        self.live.fetch_add(1, Ordering::SeqCst);
-        let prev = self.slots[session].swap(guess, Ordering::SeqCst);
-        assert_eq!(prev, IDLE, "session {session} already has a transaction in flight");
-    }
-
-    /// Clears the session's slot once its transaction commits or aborts.
-    pub(crate) fn release(&self, session: usize) {
-        self.slots[session].store(IDLE, Ordering::SeqCst);
-        self.live.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Number of sessions currently registered (a point-in-time bound).
-    pub(crate) fn live(&self) -> u64 {
-        self.live.load(Ordering::SeqCst)
-    }
-
-    /// The minimum registered snapshot bound, or `None` when no
-    /// transaction is live. Early-exits on the live count without
-    /// touching any slot when the store is idle.
-    pub(crate) fn oldest(&self) -> Option<u64> {
-        if self.live() == 0 {
-            return None;
-        }
-        self.slots.iter().map(|s| s.load(Ordering::SeqCst)).filter(|&s| s != IDLE).min()
     }
 }
 
@@ -205,14 +139,18 @@ pub struct ShardedStore {
     floor_hwm: AtomicU64,
 }
 
-impl ShardedStore {
+impl VersionStore for ShardedStore {
+    type Config = ShardedStoreConfig;
+
+    const NAME: &'static str = "SI-sharded";
+
     /// Creates a store over `object_count` objects (all initialised to
     /// 0 at sequence 0) with the given striping and GC configuration.
     ///
     /// # Panics
     ///
     /// Panics if `config.shards` or `config.sessions` is zero.
-    pub fn new(object_count: usize, config: ShardedStoreConfig) -> Self {
+    fn new(object_count: usize, config: ShardedStoreConfig) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         assert!(config.sessions > 0, "need at least one session slot");
         let shards = (0..config.shards)
@@ -241,30 +179,11 @@ impl ShardedStore {
         }
     }
 
-    fn shard_of(&self, obj: Obj) -> usize {
-        obj.index() % self.shards.len()
-    }
-
-    fn local(&self, obj: Obj) -> usize {
-        obj.index() / self.shards.len()
-    }
-
-    /// Number of objects.
-    pub fn object_count(&self) -> usize {
+    fn object_count(&self) -> usize {
         self.object_count
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Overrides an object's initial value (sequence 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any commit already happened or `obj` is out of range.
-    pub fn set_initial(&mut self, obj: Obj, value: Value) {
+    fn set_initial(&mut self, obj: Obj, value: Value) {
         assert_eq!(
             self.alloc.load(Ordering::SeqCst),
             0,
@@ -276,24 +195,11 @@ impl ShardedStore {
         self.initials[obj.index()] = value;
     }
 
-    /// The initial value of an object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` is out of range.
-    pub fn initial(&self, obj: Obj) -> Value {
+    fn initial(&self, obj: Obj) -> Value {
         self.initials[obj.index()]
     }
 
-    /// Takes a snapshot for `session` and registers it as live. Returns
-    /// the snapshot sequence; every commit in `1..=snapshot` is fully
-    /// installed and safe from GC until [`ShardedStore::end_snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session already has a registered transaction or is
-    /// out of registry range.
-    pub fn begin_snapshot(&self, session: usize) -> u64 {
+    fn begin_snapshot(&self, session: usize) -> u64 {
         // Conservative guess first, snapshot second: `published` is
         // monotone, so guess ≤ snapshot, and a GC scan either sees the
         // guess or floors on a watermark the snapshot dominates.
@@ -302,24 +208,55 @@ impl ShardedStore {
         self.ring.published()
     }
 
-    /// Unregisters the session's live snapshot (commit path does this
-    /// internally; abort paths call it directly).
-    pub fn end_snapshot(&self, session: usize) {
+    fn end_snapshot(&self, session: usize) {
         self.registry.release(session);
     }
 
     /// Snapshot read under the object's shard lock (shared).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` is out of range.
-    pub fn read_at(&self, obj: Obj, snapshot: u64) -> Version {
+    fn read_at(&self, obj: Obj, snapshot: u64) -> Version {
         let shard = self.shards[self.shard_of(obj)].read();
         *shard.chains[self.local(obj)]
             .iter()
             .rev()
             .find(|v| v.commit_seq <= snapshot)
             .expect("GC keeps the newest version at or below every live snapshot")
+    }
+
+    /// First-committer-wins validation, installation and publication,
+    /// under the write locks of exactly the shards in the write set
+    /// (ascending order).
+    fn commit(
+        &self,
+        session: usize,
+        snapshot: u64,
+        writes: &BTreeMap<Obj, Value>,
+        probe: &EngineProbe,
+    ) -> Result<u64, Obj> {
+        let result = self.commit_locked(session, snapshot, writes, probe);
+        self.registry.release(session);
+        result
+    }
+
+    fn gc_stats(&self) -> GcStats {
+        GcStats {
+            passes: self.gc_passes.load(Ordering::Relaxed),
+            pruned: self.gc_pruned.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl ShardedStore {
+    fn shard_of(&self, obj: Obj) -> usize {
+        obj.index() % self.shards.len()
+    }
+
+    fn local(&self, obj: Obj) -> usize {
+        obj.index() / self.shards.len()
+    }
+
+    /// Number of lock stripes.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// The commit sequence of the newest committed version of `obj`,
@@ -331,26 +268,6 @@ impl ShardedStore {
     pub fn latest_seq(&self, obj: Obj) -> u64 {
         let shard = self.shards[self.shard_of(obj)].read();
         shard.chains[self.local(obj)].last().expect("version 0 always present").commit_seq
-    }
-
-    /// First-committer-wins validation, installation and publication,
-    /// under the write locks of exactly the shards in the write set
-    /// (ascending order). Unregisters the session's snapshot either way.
-    /// Returns the commit sequence, or the first conflicting object.
-    ///
-    /// Shard-lock acquisition, installs and GC prunes are reported
-    /// through `probe`; the caller owns the `Committed` /
-    /// `AttemptDiscarded` fence events.
-    pub fn commit(
-        &self,
-        session: usize,
-        snapshot: u64,
-        writes: &BTreeMap<Obj, Value>,
-        probe: &EngineProbe,
-    ) -> Result<u64, Obj> {
-        let result = self.commit_locked(session, snapshot, writes, probe);
-        self.registry.release(session);
-        result
     }
 
     fn commit_locked(
@@ -453,14 +370,6 @@ impl ShardedStore {
     /// observe).
     pub fn published(&self) -> u64 {
         self.ring.published()
-    }
-
-    /// GC counters so far.
-    pub fn gc_stats(&self) -> GcStats {
-        GcStats {
-            passes: self.gc_passes.load(Ordering::Relaxed),
-            pruned: self.gc_pruned.load(Ordering::Relaxed),
-        }
     }
 
     /// Total versions currently resident across all shards (including

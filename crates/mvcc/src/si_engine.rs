@@ -133,6 +133,7 @@ impl Engine for SiEngine {
         }
         self.commit_counter += 1;
         let seq = self.commit_counter;
+        self.session_high_water[session] = self.session_high_water[session].max(seq);
         for (&obj, &value) in &writes {
             self.store.install(obj, value, seq);
             self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
@@ -244,6 +245,18 @@ mod tests {
         e.commit(t1).unwrap();
         let t2 = e.begin(0); // same session
         assert_eq!(e.read(t2, x), Value(1));
+    }
+
+    #[test]
+    fn commit_records_the_session_high_water_mark() {
+        // What `begin`'s strong-session assertion compares against.
+        let mut e = SiEngine::new(1);
+        for seq in 1..=2 {
+            let t = e.begin(3);
+            e.write(t, Obj(0), Value(seq));
+            e.commit(t).unwrap();
+            assert_eq!(e.session_high_water[3], seq);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use si_mvcc::lockfree::{LockFreeStore, LockFreeStoreConfig};
-use si_mvcc::{EngineProbe, MultiVersionStore, Obj, Value};
+use si_mvcc::{EngineProbe, MultiVersionStore, Obj, Value, VersionStore};
 
 /// One committed transaction of a generated history: session plus write
 /// set (object index → value).
