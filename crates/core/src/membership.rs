@@ -5,10 +5,15 @@
 //! * a **dense** one-shot pass — build the composed relation with the
 //!   bitset [`Relation`](si_relations::Relation) algebra and run
 //!   [`find_cycle`](si_relations::Relation::find_cycle); and
-//! * an **incremental** pass — feed the graph's labelled edges into an
-//!   [`IncrementalClass`], which maintains the composed relation under
-//!   online topological-order maintenance and stops at the first
-//!   violating edge.
+//! * an **incremental** pass — feed the graph's *covering* edges
+//!   ([`DependencyGraph::covering_edges`]: `SO` to the session successor,
+//!   `WR`, `WW` to the next version, `RW` to the immediate overwriter)
+//!   into an [`IncrementalClass`], which maintains the composed relation
+//!   under online topological-order maintenance and stops at the first
+//!   violating edge. Every dropped edge of the full relations is a path of
+//!   covering ones, so the verdict is the full relations' verdict, and
+//!   O(n + Σ ops) edges are fed instead of every ordered pair of each
+//!   session and version chain (DESIGN.md §5, "Covering edges").
 //!
 //! For SER and SI the incremental pass takes over above
 //! [`INCREMENTAL_CROSSOVER`] transactions, where the dense `O(n³/64)`
@@ -24,42 +29,25 @@ use core::fmt;
 
 use si_depgraph::DependencyGraph;
 use si_model::IntViolation;
-use si_relations::{ClassKind, DepEdgeKind, IncrementalClass, TxId};
+use si_relations::{ClassKind, IncrementalClass, TxId};
 use si_telemetry::{Event, SpanTimer, Telemetry};
 
 /// Transaction count at which the SER/SI membership checks switch from
 /// the dense bitset pass to the incremental engine.
 pub const INCREMENTAL_CROSSOVER: usize = 256;
 
-/// Feeds every labelled dependency edge of `graph` into a fresh
-/// [`IncrementalClass`], stopping at the first violation. Session order
-/// first (it is shared by every class), then per object: read
-/// dependencies, write dependencies, anti-dependencies.
+/// Feeds the covering edges of `graph`
+/// ([`DependencyGraph::covering_edges`]: session successors, `WR`, next
+/// versions, immediate overwriters) into a fresh [`IncrementalClass`],
+/// stopping at the first violation. They give every class the verdict the
+/// full relations give, and the violation found is a cycle of the full
+/// composed relation, in O(n + Σ ops) edges instead of a quadratic
+/// number.
 fn feed_class(kind: ClassKind, graph: &DependencyGraph) -> IncrementalClass {
-    let n = graph.history().tx_count();
-    let mut class = IncrementalClass::new(kind, n);
-    'feed: {
-        for (a, b) in graph.so_relation().iter_pairs() {
-            if !class.add(DepEdgeKind::So, a, b) {
-                break 'feed;
-            }
-        }
-        for x in graph.objects() {
-            for (a, b) in graph.wr_pairs(x) {
-                if !class.add(DepEdgeKind::Wr, a, b) {
-                    break 'feed;
-                }
-            }
-            for (a, b) in graph.ww_pairs(x) {
-                if !class.add(DepEdgeKind::Ww, a, b) {
-                    break 'feed;
-                }
-            }
-            for (a, b) in graph.rw_pairs(x) {
-                if !class.add(DepEdgeKind::Rw, a, b) {
-                    break 'feed;
-                }
-            }
+    let mut class = IncrementalClass::new(kind, graph.tx_count());
+    for (edge, a, b) in graph.covering_edges() {
+        if !class.add(edge, a, b) {
+            break;
         }
     }
     class
@@ -227,8 +215,9 @@ pub fn check_ser(graph: &DependencyGraph) -> Result<(), MembershipError> {
 
 /// [`check_ser`] with telemetry: emits one
 /// [`CycleSearchStep`](Event::CycleSearchStep) with the size of
-/// `SO ∪ WR ∪ WW ∪ RW` and one [`VerdictEmitted`](Event::VerdictEmitted)
-/// with the acyclicity-check wall-clock time.
+/// `SO ∪ WR ∪ WW ∪ RW` (above [`INCREMENTAL_CROSSOVER`], of its covering
+/// edges) and one [`VerdictEmitted`](Event::VerdictEmitted) with the
+/// acyclicity-check wall-clock time.
 ///
 /// # Errors
 ///
@@ -279,7 +268,10 @@ pub fn check_si(graph: &DependencyGraph) -> Result<(), MembershipError> {
 
 /// [`check_si`] with telemetry: emits one
 /// [`CycleSearchStep`](Event::CycleSearchStep) with the size of the
-/// composed relation `(SO ∪ WR ∪ WW) ; RW?` and one
+/// composed relation `(SO ∪ WR ∪ WW) ; RW?` (above
+/// [`INCREMENTAL_CROSSOVER`], of its composition over the covering edges:
+/// at most `|D_cov| · (1 + max reads per transaction)`, where `D_cov` is
+/// the covering `SO ∪ WR ∪ WW`) and one
 /// [`VerdictEmitted`](Event::VerdictEmitted) with the composition +
 /// acyclicity wall-clock time.
 ///

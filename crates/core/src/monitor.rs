@@ -11,18 +11,29 @@
 //! exactly the monotonicity that makes Theorem 9's acyclicity condition
 //! monitorable online.
 //!
-//! Two engines implement the check:
+//! Two engines implement the check, each with its own edge rule:
 //!
 //! * the default **incremental** engine ([`IncrementalClass`]) maintains
 //!   the class's characteristic relation under edge insertion
-//!   (Pearce–Kelly online topological order), so an append costs the
-//!   bounded searches its new edges trigger — amortised near-linear,
-//!   the way production black-box checkers such as PolySI scale;
-//! * the **dense oracle** engine ([`SiMonitor::new_dense`]) recomputes
-//!   the composed relation from scratch with the bitset [`Relation`]
-//!   algebra on every append — `O(n³/64)` per append, kept as the
-//!   differential-testing oracle (`tests/monitor.rs`) and for
-//!   apples-to-apples benchmarks (`crates/bench/benches/monitor_scaling`).
+//!   (Pearce–Kelly online topological order), fed only the *covering*
+//!   edges of [`DependencyGraph::covering_edges`]: `SO` from the session
+//!   predecessor, `WR`, `WW` from the previous version, and one `RW` per
+//!   read, to the immediate overwriter of the version read. Per object
+//!   it keeps the version order and the readers of the live version
+//!   only; a read of an older version finds its overwriter by binary
+//!   search (versions arrive in `TxId` order), a read of the live version
+//!   waits in that list for the next write, which takes the whole list.
+//!   So an append feeds O(ops) edges and costs the bounded searches they
+//!   trigger — the way production black-box checkers such as PolySI
+//!   scale;
+//! * the **dense oracle** engine ([`SiMonitor::new_dense`]) derives the
+//!   full Definition 5/6 relations (`SO` closed along the session chain,
+//!   every earlier version, every later overwriter) and recomputes the
+//!   composed relation from scratch with the bitset [`Relation`] algebra
+//!   on every append — `O(n³/64)` per append. It is the
+//!   differential-testing oracle (`tests/monitor.rs` compares the two
+//!   after every append, which tests the covering-edge lemma online) and
+//!   the baseline of `crates/bench/benches/monitor_scaling`.
 
 use si_depgraph::DependencyGraph;
 use si_execution::SpecModel;
@@ -35,10 +46,13 @@ use si_telemetry::{EdgeKind, Event, SpanTimer, Telemetry};
 #[derive(Debug, Clone, Default)]
 pub struct ObservedTx {
     /// Session predecessor, if any (the previous transaction of the same
-    /// session); induces an `SO` edge (transitively closed internally).
+    /// session); induces the `SO` edge `predecessor → this` (the dense
+    /// oracle also adds the edges from the predecessor's own
+    /// predecessors, closing `SO` transitively).
     pub session_predecessor: Option<TxId>,
     /// `(object, writer)` pairs: this transaction's external read of
-    /// `object` observed `writer`'s version.
+    /// `object` observed `writer`'s version. `writer` must already have
+    /// been appended with `object` among its writes.
     pub reads_from: Vec<(Obj, TxId)>,
     /// Objects this transaction wrote. The monitor appends it to each
     /// object's version order (systems report commits in version order —
@@ -59,19 +73,31 @@ pub enum MonitorVerdict {
     },
 }
 
-/// The check engine backing a monitor.
+/// The check engine backing a monitor, with the derivation state its
+/// edge rule needs (module docs).
 #[derive(Debug, Clone)]
 enum MonitorEngine {
-    /// Online maintenance of the class's characteristic relation (boxed:
-    /// the maintainer's index vectors dwarf the two dense relation
-    /// handles).
-    Incremental(Box<IncrementalClass>),
-    /// From-scratch dense recomposition per append (the oracle).
+    /// Online maintenance of the class's characteristic relation over the
+    /// covering edges.
+    Incremental {
+        /// Boxed: the maintainer's index vectors dwarf the other handles.
+        class: Box<IncrementalClass>,
+        /// Per object: the readers of its live (newest) version, whose
+        /// anti-dependency goes to the next version when it arrives.
+        live_readers: Vec<Vec<TxId>>, // indexed by Obj
+    },
+    /// From-scratch dense recomposition per append over the full
+    /// relations (the oracle).
     Dense {
         /// `SO ∪ WR ∪ WW` so far.
         dep: Relation,
         /// `RW` so far.
         rw: Relation,
+        /// Per transaction: its session predecessor, walked to close `SO`.
+        so_pred: Vec<Option<TxId>>,
+        /// Per object: every transaction that externally read one of its
+        /// versions, each anti-depending on every later version.
+        readers_of: Vec<Vec<TxId>>, // indexed by Obj
     },
 }
 
@@ -109,16 +135,10 @@ enum MonitorEngine {
 pub struct SiMonitor {
     model: SpecModel,
     engine: MonitorEngine,
-    /// Version order per object, in append order.
+    /// Version order per object, in append (hence `TxId`) order.
     version_order: Vec<Vec<TxId>>, // indexed by Obj
-    /// Per object: the transactions that externally read one of its
-    /// versions — the index that turns write-side anti-dependency
-    /// derivation into a per-object lookup instead of a scan over every
-    /// read ever observed.
-    readers_of: Vec<Vec<TxId>>, // indexed by Obj
     violated: Option<Vec<TxId>>,
     next_tx: u32,
-    so_pred: Vec<Option<TxId>>,
     telemetry: Telemetry,
     /// Reusable per-append edge buffer.
     scratch: Vec<(EdgeKind, TxId, TxId)>,
@@ -139,6 +159,19 @@ fn class_of(model: SpecModel) -> ClassKind {
         SpecModel::Ser => ClassKind::Ser,
         SpecModel::Psi => ClassKind::Psi,
     }
+}
+
+/// The index of `writer`'s version in `x`'s version `order`, which is
+/// sorted: versions are appended in `TxId` order.
+///
+/// # Panics
+///
+/// Panics if `writer` has not written `x`: the read's anti-dependencies
+/// could not be derived, and skipping them would hide cycles.
+fn version_index(order: &[TxId], x: Obj, writer: TxId) -> usize {
+    order
+        .binary_search(&writer)
+        .unwrap_or_else(|_| panic!("read of {x} from {writer}, which has not written {x}"))
 }
 
 /// The dense oracle's verdict over accumulated `dep`/`rw` relations.
@@ -164,18 +197,27 @@ impl SiMonitor {
     pub fn new(model: SpecModel) -> Self {
         Self::with_engine(
             model,
-            MonitorEngine::Incremental(Box::new(IncrementalClass::new(class_of(model), 0))),
+            MonitorEngine::Incremental {
+                class: Box::new(IncrementalClass::new(class_of(model), 0)),
+                live_readers: Vec::new(),
+            },
         )
     }
 
-    /// Creates a monitor backed by the dense from-scratch engine —
-    /// `O(n³/64)` per append. Verdict-equivalent to [`SiMonitor::new`]
-    /// (witness cycles may differ); kept as the differential-testing
-    /// oracle and benchmark baseline.
+    /// Creates a monitor backed by the dense from-scratch engine over the
+    /// full Definition 5/6 relations — `O(n³/64)` per append.
+    /// Verdict-equivalent to [`SiMonitor::new`] (witness cycles may
+    /// differ); kept as the differential-testing oracle and benchmark
+    /// baseline.
     pub fn new_dense(model: SpecModel) -> Self {
         Self::with_engine(
             model,
-            MonitorEngine::Dense { dep: Relation::new(0), rw: Relation::new(0) },
+            MonitorEngine::Dense {
+                dep: Relation::new(0),
+                rw: Relation::new(0),
+                so_pred: Vec::new(),
+                readers_of: Vec::new(),
+            },
         )
     }
 
@@ -184,10 +226,8 @@ impl SiMonitor {
             model,
             engine,
             version_order: Vec::new(),
-            readers_of: Vec::new(),
             violated: None,
             next_tx: 0,
-            so_pred: Vec::new(),
             telemetry: Telemetry::disabled(),
             scratch: Vec::new(),
         }
@@ -255,8 +295,8 @@ impl SiMonitor {
         // One verdict for the whole prefix (the incremental engine has
         // been checking all along; the dense engine composes once).
         monitor.violated = match &monitor.engine {
-            MonitorEngine::Incremental(class) => class.violation().map(<[TxId]>::to_vec),
-            MonitorEngine::Dense { dep, rw } => dense_verdict(model, dep, rw).1,
+            MonitorEngine::Incremental { class, .. } => class.violation().map(<[TxId]>::to_vec),
+            MonitorEngine::Dense { dep, rw, .. } => dense_verdict(model, dep, rw).1,
         };
         monitor
     }
@@ -291,6 +331,12 @@ impl SiMonitor {
     ///
     /// Once a violation is flagged the monitor stays violated (edges are
     /// only added, so the forbidden cycle never disappears).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a read names a writer that has not (yet) been appended
+    /// with that object among its writes: such a read has no place in the
+    /// version order, so its anti-dependencies cannot be derived.
     pub fn append(&mut self, tx: ObservedTx) -> TxId {
         let id = TxId(self.next_tx);
         self.next_tx += 1;
@@ -299,7 +345,7 @@ impl SiMonitor {
         let check_needed = self.violated.is_none();
         let timer = SpanTimer::start();
         let stats_before = match &self.engine {
-            MonitorEngine::Incremental(class) => class.stats(),
+            MonitorEngine::Incremental { class, .. } => class.stats(),
             MonitorEngine::Dense { .. } => IncrementalStats::default(),
         };
 
@@ -308,13 +354,13 @@ impl SiMonitor {
         if check_needed {
             let check = self.check_label();
             let (cycle, edges, stats) = match &mut self.engine {
-                MonitorEngine::Incremental(class) => {
+                MonitorEngine::Incremental { class, .. } => {
                     let mut stats = class.stats();
                     stats.visited -= stats_before.visited;
                     stats.reordered -= stats_before.reordered;
                     (class.violation().map(<[TxId]>::to_vec), class.maintained_edge_count(), stats)
                 }
-                MonitorEngine::Dense { dep, rw } => {
+                MonitorEngine::Dense { dep, rw, .. } => {
                     let (composed, cycle) = dense_verdict(self.model, dep, rw);
                     (cycle, composed.edge_count(), IncrementalStats::default())
                 }
@@ -333,61 +379,92 @@ impl SiMonitor {
         id
     }
 
-    /// Derives `id`'s dependency edges and applies them to the engine
-    /// (emitting [`Event::EdgeAdded`] per edge), without checking.
+    /// Derives `id`'s dependency edges by the engine's rule and applies
+    /// them to the engine (emitting [`Event::EdgeAdded`] per edge),
+    /// without checking.
     fn apply_observed(&mut self, tx: &ObservedTx, id: TxId) {
         let mut edges = std::mem::take(&mut self.scratch);
         edges.clear();
-
-        // SO edge, transitively extended along the session chain.
-        if let Some(pred) = tx.session_predecessor {
-            let mut cur = Some(pred);
-            while let Some(p) = cur {
-                edges.push((EdgeKind::So, p, id));
-                cur = self.so_pred[p.index()];
-            }
-            self.so_pred[id.index()] = Some(pred);
-        }
-
-        // WR edges, read-side RW edges towards writers that already
-        // overwrote the observed version, and the readers index for
-        // write-side derivation later.
-        for &(x, writer) in &tx.reads_from {
+        let touched = tx.reads_from.iter().map(|&(x, _)| x).chain(tx.writes.iter().copied());
+        if let Some(x) = touched.max() {
             self.ensure_obj(x);
-            edges.push((EdgeKind::Wr, writer, id));
-            let order = &self.version_order[x.index()];
-            if let Some(pos) = order.iter().position(|&w| w == writer) {
-                for &s in &order[pos + 1..] {
-                    if s != id {
-                        edges.push((EdgeKind::Rw, id, s));
+        }
+        let version_order = &mut self.version_order;
+
+        match &mut self.engine {
+            MonitorEngine::Incremental { live_readers, .. } => {
+                if let Some(pred) = tx.session_predecessor {
+                    edges.push((EdgeKind::So, pred, id));
+                }
+                // `id` is not in any version order yet, so the immediate
+                // overwriter of a version it read is never `id` itself.
+                for &(x, writer) in &tx.reads_from {
+                    edges.push((EdgeKind::Wr, writer, id));
+                    let order = &version_order[x.index()];
+                    match order.get(version_index(order, x, writer) + 1) {
+                        Some(&overwriter) => edges.push((EdgeKind::Rw, id, overwriter)),
+                        None => live_readers[x.index()].push(id),
                     }
                 }
-                self.readers_of[x.index()].push(id);
-            }
-        }
-
-        // WW edges: this transaction becomes the newest version of each
-        // written object; readers of older versions now anti-depend on it.
-        for &x in &tx.writes {
-            self.ensure_obj(x);
-            for &prev in &self.version_order[x.index()] {
-                edges.push((EdgeKind::Ww, prev, id));
-            }
-            for &reader in &self.readers_of[x.index()] {
-                if reader != id {
-                    edges.push((EdgeKind::Rw, reader, id));
+                // The new version overwrites the live one: `WW` from it,
+                // `RW` from each of its readers but `id` (for whom the
+                // dropped edges are paths through `id -WW→ next`).
+                for &x in &tx.writes {
+                    let order = &mut version_order[x.index()];
+                    if let Some(&prev) = order.last() {
+                        edges.push((EdgeKind::Ww, prev, id));
+                    }
+                    for reader in live_readers[x.index()].drain(..) {
+                        if reader != id {
+                            edges.push((EdgeKind::Rw, reader, id));
+                        }
+                    }
+                    order.push(id);
                 }
             }
-            self.version_order[x.index()].push(id);
+            MonitorEngine::Dense { so_pred, readers_of, .. } => {
+                // SO edge, transitively extended along the session chain.
+                if let Some(pred) = tx.session_predecessor {
+                    let mut cur = Some(pred);
+                    while let Some(p) = cur {
+                        edges.push((EdgeKind::So, p, id));
+                        cur = so_pred[p.index()];
+                    }
+                    so_pred[id.index()] = Some(pred);
+                }
+                // WR edges, and RW edges towards every writer that already
+                // overwrote the observed version.
+                for &(x, writer) in &tx.reads_from {
+                    edges.push((EdgeKind::Wr, writer, id));
+                    let order = &version_order[x.index()];
+                    for &s in &order[version_index(order, x, writer) + 1..] {
+                        edges.push((EdgeKind::Rw, id, s));
+                    }
+                    readers_of[x.index()].push(id);
+                }
+                // WW edges from every earlier version; every earlier reader
+                // of the object now anti-depends on this one.
+                for &x in &tx.writes {
+                    for &prev in &version_order[x.index()] {
+                        edges.push((EdgeKind::Ww, prev, id));
+                    }
+                    for &reader in &readers_of[x.index()] {
+                        if reader != id {
+                            edges.push((EdgeKind::Rw, reader, id));
+                        }
+                    }
+                    version_order[x.index()].push(id);
+                }
+            }
         }
 
         for &(kind, from, to) in &edges {
             self.telemetry.emit(|| Event::EdgeAdded { kind, from: from.0, to: to.0 });
             match &mut self.engine {
-                MonitorEngine::Incremental(class) => {
+                MonitorEngine::Incremental { class, .. } => {
                     class.add(dep_kind(kind), from, to);
                 }
-                MonitorEngine::Dense { dep, rw } => {
+                MonitorEngine::Dense { dep, rw, .. } => {
                     match kind {
                         EdgeKind::Rw => rw.insert(from, to),
                         _ => dep.insert(from, to),
@@ -400,19 +477,25 @@ impl SiMonitor {
 
     fn grow(&mut self, n: usize) {
         match &mut self.engine {
-            MonitorEngine::Incremental(class) => class.grow(n),
-            MonitorEngine::Dense { dep, rw } => {
+            MonitorEngine::Incremental { class, .. } => class.grow(n),
+            MonitorEngine::Dense { dep, rw, so_pred, .. } => {
                 *dep = dep.grown(n);
                 *rw = rw.grown(n);
+                so_pred.resize(n, None);
             }
         }
-        self.so_pred.resize(n, None);
     }
 
     fn ensure_obj(&mut self, x: Obj) {
-        if x.index() >= self.version_order.len() {
-            self.version_order.resize(x.index() + 1, Vec::new());
-            self.readers_of.resize(x.index() + 1, Vec::new());
+        let n = x.index() + 1;
+        if n > self.version_order.len() {
+            self.version_order.resize(n, Vec::new());
+            match &mut self.engine {
+                MonitorEngine::Incremental { live_readers, .. } => {
+                    live_readers.resize(n, Vec::new())
+                }
+                MonitorEngine::Dense { readers_of, .. } => readers_of.resize(n, Vec::new()),
+            }
         }
     }
 }
@@ -539,6 +622,47 @@ mod tests {
             });
             assert!(!m.is_consistent());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "read of x0 from T0, which has not written x0")]
+    fn read_from_a_non_writer_panics() {
+        let mut m = SiMonitor::new(SpecModel::Si);
+        let t0 = m.append(ObservedTx { writes: vec![y()], ..Default::default() });
+        m.append(ObservedTx { reads_from: vec![(x(), t0)], ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "read of x1 from T2, which has not written x1")]
+    fn dense_oracle_read_from_a_future_writer_panics() {
+        let mut m = SiMonitor::new_dense(SpecModel::Si);
+        init(&mut m);
+        m.append(ObservedTx { reads_from: vec![(y(), TxId(2))], ..Default::default() });
+    }
+
+    #[test]
+    fn covering_feed_sends_one_anti_dependency_per_read() {
+        // Four readers of init's x, then four overwriters: the dense rule
+        // draws 16 RW edges, the covering rule one per reader (to the
+        // first overwriter) and one WW per version.
+        let sink = std::sync::Arc::new(si_telemetry::CountingSink::default());
+        let mut m = SiMonitor::with_telemetry(SpecModel::Si, Telemetry::new(sink.clone()));
+        let i = init(&mut m);
+        for _ in 0..4 {
+            m.append(ObservedTx { reads_from: vec![(x(), i)], ..Default::default() });
+        }
+        for _ in 0..4 {
+            m.append(ObservedTx { writes: vec![x()], ..Default::default() });
+        }
+        assert!(m.is_consistent());
+        assert_eq!(sink.edges(EdgeKind::Wr), 4);
+        assert_eq!(sink.edges(EdgeKind::Rw), 4);
+        assert_eq!(sink.edges(EdgeKind::Ww), 4);
+        // A late reader of the first version gets its single edge to the
+        // immediate overwriter, found by binary search.
+        let first = TxId(i.0 + 5);
+        m.append(ObservedTx { reads_from: vec![(x(), first)], ..Default::default() });
+        assert_eq!(sink.edges(EdgeKind::Rw), 5);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use si_model::{History, Obj};
-use si_relations::{Relation, TxId};
+use si_relations::{DepEdgeKind, Relation, TxId};
 
 use crate::validate::{validate, DepGraphError};
 
@@ -87,6 +87,10 @@ impl DependencyGraph {
     /// Write-dependency pairs `(overwritten, overwriter)` for `x` — all
     /// ordered pairs of the version order, i.e. the strict total order
     /// `WW(x)`.
+    ///
+    /// Quadratic in the chain length: this is the Definition 6 spec, for
+    /// the dense relations, explanations and tests. Cycle checks feed
+    /// [`DependencyGraph::covering_edges`] instead.
     pub fn ww_pairs(&self, x: Obj) -> Vec<(TxId, TxId)> {
         let order = self.ww_order(x);
         let mut pairs = Vec::new();
@@ -100,6 +104,11 @@ impl DependencyGraph {
 
     /// Anti-dependency pairs for `x`, derived per Definition 5:
     /// `T -RW(x)→ S` iff `T ≠ S ∧ ∃T'. T' -WR(x)→ T ∧ T' -WW(x)→ S`.
+    ///
+    /// One edge per reader *and* later overwriter: this is the
+    /// Definition 5 spec, for the dense relations, explanations and
+    /// tests. Cycle checks feed [`DependencyGraph::covering_edges`]
+    /// instead.
     pub fn rw_pairs(&self, x: Obj) -> Vec<(TxId, TxId)> {
         let mut pairs = Vec::new();
         let order = self.ww_order(x);
@@ -118,6 +127,50 @@ impl DependencyGraph {
             }
         }
         pairs
+    }
+
+    /// The covering edges of `G`, labelled `(kind, from, to)`: `SO` to the
+    /// session successor, every `WR`, `WW` to the next version, and `RW`
+    /// from each reader to the *immediate* overwriter of the version it
+    /// read (none if that overwriter is the reader itself). Session order
+    /// comes first, then per object its `WR`, `WW` and `RW` edges.
+    ///
+    /// There are O(n + Σ ops) of them, against the quadratic
+    /// [`so_relation`](Self::so_relation), [`ww_pairs`](Self::ww_pairs) and
+    /// [`rw_pairs`](Self::rw_pairs). Each is an edge of the full relation
+    /// of its kind, and every dropped edge is a path of kept ones: `a -WW→
+    /// c` is `a -WW→ b -WW→ c`, and `r -RW→ c` is `r -RW→ b -WW→ c` (or
+    /// `r -WW→ c` when `r` is the immediate overwriter `b`). So the
+    /// characteristic relations of SER, SI, PSI and PC built from these
+    /// edges give the same verdict as the ones built from the full
+    /// relations, and a cycle found here is a cycle of `G` verbatim
+    /// (DESIGN.md §5, "Covering edges").
+    pub fn covering_edges(&self) -> impl Iterator<Item = (DepEdgeKind, TxId, TxId)> + '_ {
+        let so = self
+            .history
+            .sessions()
+            .flat_map(|(_, txs)| txs.windows(2).map(|w| (DepEdgeKind::So, w[0], w[1])));
+        // `position[t]` is `t`'s index in the current object's version
+        // order. Every `WR` writer is in that order (Definition 6), so
+        // entries left over from earlier objects are never read.
+        let mut position = vec![0usize; self.tx_count()];
+        let per_object = self.objects().into_iter().flat_map(move |x| {
+            let order = self.ww_order(x);
+            for (i, &t) in order.iter().enumerate() {
+                position[t.index()] = i;
+            }
+            let readers = self.wr.get(&x).into_iter().flatten();
+            let mut edges: Vec<_> =
+                readers.clone().map(|(&r, &w)| (DepEdgeKind::Wr, w, r)).collect();
+            edges.extend(order.windows(2).map(|w| (DepEdgeKind::Ww, w[0], w[1])));
+            edges.extend(readers.filter_map(|(&reader, &writer)| {
+                debug_assert_eq!(order[position[writer.index()]], writer);
+                let next = *order.get(position[writer.index()] + 1)?;
+                (next != reader).then_some((DepEdgeKind::Rw, reader, next))
+            }));
+            edges
+        });
+        so.chain(per_object)
     }
 
     /// All objects with a read or write dependency.
@@ -268,6 +321,60 @@ mod tests {
         assert!(dep.is_acyclic()); // SO empty here, WR/WW from init only
         let all = g.all_relation();
         assert!(!all.is_acyclic()); // RW cycle T1 <-> T2
+    }
+
+    #[test]
+    fn covering_edges_keep_successors_and_immediate_overwriters() {
+        // One session T1 T2 T3, all writing x: init < T1 < T2 < T3. T2
+        // reads init's x (its immediate overwriter is T1), T3 reads T1's
+        // x (its immediate overwriter is T2).
+        let mut b = HistoryBuilder::new();
+        let x = b.object("x");
+        let s = b.session();
+        b.push_tx(s, [Op::write(x, 1)]);
+        b.push_tx(s, [Op::read(x, 0), Op::write(x, 2)]);
+        b.push_tx(s, [Op::read(x, 1), Op::write(x, 3)]);
+        let mut g = DepGraphBuilder::new(b.build());
+        g.infer_wr();
+        let g = g.build().unwrap();
+        let t = TxId;
+        assert_eq!(
+            g.covering_edges().collect::<Vec<_>>(),
+            vec![
+                (DepEdgeKind::So, t(1), t(2)),
+                (DepEdgeKind::So, t(2), t(3)),
+                (DepEdgeKind::Wr, t(0), t(2)),
+                (DepEdgeKind::Wr, t(1), t(3)),
+                (DepEdgeKind::Ww, t(0), t(1)),
+                (DepEdgeKind::Ww, t(1), t(2)),
+                (DepEdgeKind::Ww, t(2), t(3)),
+                (DepEdgeKind::Rw, t(2), t(1)),
+                (DepEdgeKind::Rw, t(3), t(2)),
+            ]
+        );
+        // The full relations have SO (1,3), WW (0,2) (0,3) (1,3) and RW
+        // (2,3): all paths of the edges above.
+        assert_eq!(g.so_relation().edge_count(), 3);
+        assert_eq!(g.ww_pairs(x).len(), 6);
+        assert_eq!(g.rw_pairs(x).len(), 3);
+    }
+
+    #[test]
+    fn covering_rw_skips_a_reader_that_is_the_immediate_overwriter() {
+        // `rw_excludes_self_pairs`' shape plus a later writer: T1 reads
+        // init's x and overwrites it, T2 overwrites T1. The dropped
+        // T1 -RW→ T2 is T1 -WW→ T2.
+        let mut b = HistoryBuilder::new();
+        let x = b.object("x");
+        let (s1, s2) = (b.session(), b.session());
+        b.push_tx(s1, [Op::read(x, 0), Op::write(x, 1)]);
+        b.push_tx(s2, [Op::write(x, 2)]);
+        let mut g = DepGraphBuilder::new(b.build());
+        g.infer_wr();
+        let g = g.build().unwrap();
+        assert_eq!(g.rw_pairs(x), vec![(TxId(1), TxId(2))]);
+        assert!(g.covering_edges().all(|(kind, _, _)| kind != DepEdgeKind::Rw));
+        assert!(g.covering_edges().any(|e| e == (DepEdgeKind::Ww, TxId(1), TxId(2))));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 
 mod common;
 
+use std::time::Instant;
+
 use common::arb_history;
 use proptest::prelude::*;
 
@@ -139,7 +141,10 @@ fn sharded_stress_recordings_stay_in_hist_si() {
 /// reclamation all running under real preemption — must be certified a
 /// member of HistSI by si-solve. This is the strongest end-to-end
 /// evidence the lock-free engine has: the solver independently rebuilds
-/// a witness for every recorded transaction.
+/// a witness for every recorded transaction — and the witness is then
+/// confirmed: rebuilt as a dependency graph and passed through
+/// `check_si`, which feeds the covering edges only. The confirmation's
+/// wall time is printed (`-- --nocapture` shows it).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only scale smoke")]
 fn lockfree_stress_recordings_stay_in_hist_si() {
@@ -149,11 +154,23 @@ fn lockfree_stress_recordings_stay_in_hist_si() {
     let h = outcome.history;
     assert!(h.tx_count() >= 100_000, "expected a 10^5-tx recording, got {}", h.tx_count());
     let result = solve(&h, SolverMode::Si);
-    assert!(
-        result.outcome.is_member(),
-        "lock-free stress recording ({} txs, seed {seed:#x}) fell outside HistSI",
-        h.tx_count()
+    let SolveOutcome::Sat(witness) = &result.outcome else {
+        panic!(
+            "lock-free stress recording ({} txs, seed {seed:#x}) fell outside HistSI",
+            h.tx_count()
+        );
+    };
+    let started = Instant::now();
+    let graph = witness.to_graph(&h).expect("witness rebuilds a dependency graph");
+    let to_graph = started.elapsed();
+    let checked = check_si(&graph);
+    eprintln!(
+        "confirmed a {}-tx witness in {:.2?} (to_graph {to_graph:.2?}, check_si {:.2?})",
+        h.tx_count(),
+        started.elapsed(),
+        started.elapsed() - to_graph
     );
+    assert!(checked.is_ok(), "the witness fails check_si: {:?}", checked.err());
 }
 
 /// The seeded-anomaly suite: generated base loads with one injected
